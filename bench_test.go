@@ -378,9 +378,9 @@ func BenchmarkSimInterval(b *testing.B) {
 }
 
 // thermalBenchPlans are the floorplan-scaling points for the thermal
-// benchmarks: the paper plan (~26 blocks, dense path) plus meshes at
-// N=30/300/3000 blocks. Above thermal.DenseMaxNodes the auto solver
-// switches to the sparse CSR/CG path.
+// benchmarks: the paper plan (~26 blocks) plus meshes at N=30/300/3000
+// blocks. Every plan integrates on the one CSR Euler step; steady states
+// switch from Gaussian elimination to CG above 64 nodes.
 func thermalBenchPlans() []struct {
 	name string
 	plan *floorplan.Plan
@@ -397,19 +397,15 @@ func thermalBenchPlans() []struct {
 }
 
 // BenchmarkThermalAdvance measures one sensor-interval thermal update at
-// each floorplan scale; the per-op cost is the CSR (or dense) Euler
-// substeps for ~0.3 ms of thermal time. Steady state must stay
-// allocation-free on every path — the integration scratch lives on the
-// model.
+// each floorplan scale; the per-op cost is the CSR Euler substeps for
+// ~0.3 ms of thermal time. It must stay allocation-free at every scale —
+// the integration scratch lives on the model.
 func BenchmarkThermalAdvance(b *testing.B) {
 	cfg := config.Default()
 	dt := float64(cfg.SensorIntervalCycles) * cfg.ThermalSecondsPerCycle()
 	for _, tp := range thermalBenchPlans() {
 		b.Run(tp.name, func(b *testing.B) {
-			th, err := thermal.New(tp.plan, cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
+			th := thermal.New(tp.plan, cfg)
 			pow := make([]float64, tp.plan.NumBlocks())
 			for i := range pow {
 				pow[i] = 40.0 / float64(len(pow))
@@ -424,29 +420,24 @@ func BenchmarkThermalAdvance(b *testing.B) {
 }
 
 // BenchmarkThermalSteadyState compares the steady-state solvers at each
-// floorplan scale: solver=sparse is the CSR conjugate-gradient path,
-// solver=dense the Gaussian-elimination reference (via the any-size
-// SteadyStateDense entry point). At N=3000 the O(n³) dense solve takes
-// seconds while CG finishes in milliseconds — the ≥10× separation this
-// PR's acceptance demands.
+// floorplan scale through their any-size entry points: solver=sparse is
+// conjugate gradient (SteadyStateCG), solver=dense Gaussian elimination
+// (SteadyStateDense). At N=3000 the O(n³) dense solve takes seconds
+// while CG finishes in milliseconds.
 func BenchmarkThermalSteadyState(b *testing.B) {
 	cfg := config.Default()
-	cfg.ThermalSolver = config.ThermalSparse // CG at every size; dense via the reference entry point
 	for _, tp := range thermalBenchPlans() {
 		if tp.name == "paper" {
 			continue // the paper plan is covered by BenchmarkSteadyState
 		}
-		th, err := thermal.New(tp.plan, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
+		th := thermal.New(tp.plan, cfg)
 		pow := make([]float64, tp.plan.NumBlocks())
 		for i := range pow {
 			pow[i] = 40.0 / float64(len(pow))
 		}
 		b.Run(tp.name+"/solver=sparse", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				th.SteadyState(pow)
+				th.SteadyStateCG(pow)
 			}
 		})
 		b.Run(tp.name+"/solver=dense", func(b *testing.B) {
@@ -523,15 +514,13 @@ func BenchmarkGenerator(b *testing.B) {
 	}
 }
 
-// BenchmarkSteadyState measures the dense thermal steady-state solve on
-// the paper floorplan (the path every fig6 run warm-starts through).
+// BenchmarkSteadyState measures the Gaussian-elimination steady-state
+// solve on the paper floorplan (the path every fig6 run warm-starts
+// through).
 func BenchmarkSteadyState(b *testing.B) {
 	cfg := config.Default()
 	plan := floorplan.Build(cfg.Plan)
-	th, err := thermal.New(plan, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
+	th := thermal.New(plan, cfg)
 	pow := make([]float64, plan.NumBlocks())
 	for i := range pow {
 		pow[i] = 1.0

@@ -2,8 +2,7 @@ package experiments
 
 import (
 	"context"
-	"os"
-	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/config"
@@ -21,7 +20,8 @@ func mcSpec(parallelism int) MulticoreSpec {
 }
 
 // TestGoldenMulticoreShort pins the scheduler-comparison report bytes
-// for a fixed short run. Regenerate deliberately with:
+// for a fixed short run, plus a full-precision SHA-256 of each
+// scheduler's result. Regenerate deliberately with:
 //
 //	go test ./internal/experiments -run TestGoldenMulticoreShort -update
 func TestGoldenMulticoreShort(t *testing.T) {
@@ -29,27 +29,13 @@ func TestGoldenMulticoreShort(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := m.Report()
+	checkGolden(t, "multicore_short.golden", m.Report())
 
-	golden := filepath.Join("testdata", "multicore_short.golden")
-	if *update {
-		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s (%d bytes)", golden, len(got))
-		return
+	var sums strings.Builder
+	for _, c := range m.Cells {
+		sums.WriteString(digestLine(t, c.Scheduler.String(), c.R))
 	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("%v (regenerate with -update)", err)
-	}
-	if got != string(want) {
-		t.Errorf("report output drifted from %s (regenerate with -update if the change is intended)\n--- want ---\n%s--- got ---\n%s",
-			golden, want, got)
-	}
+	checkGolden(t, "multicore_short.sha256", sums.String())
 }
 
 // TestMulticoreMatrixParallelDeterminism mirrors TestParallelDeterminism

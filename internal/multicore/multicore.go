@@ -259,10 +259,7 @@ func NewSystem(p Params) (*System, error) {
 	// a hot task's excursion over the background crosses the threshold.
 	sharedCfg := base.Clone()
 	sharedCfg.ConvectionRes = base.ConvectionRes / math.Sqrt(float64(p.Cores))
-	th, err := thermal.New(plan, sharedCfg)
-	if err != nil {
-		return nil, err
-	}
+	th := thermal.New(plan, sharedCfg)
 	sched, err := NewScheduler(p.Scheduler, p.Seed)
 	if err != nil {
 		return nil, err
@@ -575,31 +572,10 @@ func (s *System) backgroundWarmStart() error {
 	for c := range s.cores {
 		copy(warm[c*s.nb:(c+1)*s.nb], bg)
 	}
-	s.Th.WarmStart(warm)
-	s.clampBelowThreshold()
+	// Clamped below the threshold so the first intervals measure
+	// scheduling, not the initial condition.
+	s.Th.WarmStartBelow(warm, s.base.MaxTempK)
 	return nil
-}
-
-// clampBelowThreshold scales the warm-started field back toward ambient if
-// any block would otherwise start at or above the critical threshold, so
-// the first intervals measure scheduling, not the initial condition.
-func (s *System) clampBelowThreshold() {
-	temps := s.Th.Temps(s.temps)
-	maxT := 0.0
-	for _, t := range temps {
-		if t > maxT {
-			maxT = t
-		}
-	}
-	limit := s.base.MaxTempK - 0.5
-	if maxT < limit {
-		return
-	}
-	scale := (limit - s.base.AmbientK) / (maxT - s.base.AmbientK)
-	for i := range temps {
-		temps[i] = s.base.AmbientK + (temps[i]-s.base.AmbientK)*scale
-	}
-	s.Th.SetTemps(temps)
 }
 
 // retire frees cores whose task has used up its budget; they become

@@ -66,10 +66,7 @@ func New(cfg *config.Config, prof trace.Profile) (*Simulator, error) {
 	if err != nil {
 		return nil, err
 	}
-	th, err := thermal.New(plan, cfg)
-	if err != nil {
-		return nil, err
-	}
+	th := thermal.New(plan, cfg)
 	mgr := core.New(cfg, plan, pipe, th)
 	return &Simulator{
 		Cfg:      cfg,
@@ -246,7 +243,7 @@ func (s *Simulator) run(more func() bool) *Result {
 		for b := range warmPow {
 			warmPow[b] /= float64(warmed)
 		}
-		s.warmStartBelowThreshold(warmPow)
+		s.Th.WarmStartBelow(warmPow, s.Cfg.MaxTempK)
 	}
 
 	// Phase 2: measured execution under dynamic thermal management.
@@ -312,30 +309,6 @@ func (s *Simulator) coolingStall(cycles int) {
 		s.stallCycles += int64(chunk)
 		cycles -= chunk
 	}
-}
-
-// warmStartBelowThreshold warm-starts the thermal network from the steady
-// state of the measured power, scaled back toward ambient if that steady
-// state would start any block at or above the critical threshold (the
-// physical system can never have gotten there).
-func (s *Simulator) warmStartBelowThreshold(pow []float64) {
-	s.Th.WarmStart(pow)
-	temps := s.Th.Temps(nil)
-	maxT := 0.0
-	for _, t := range temps {
-		if t > maxT {
-			maxT = t
-		}
-	}
-	limit := s.Cfg.MaxTempK - 0.5
-	if maxT < limit {
-		return
-	}
-	scale := (limit - s.Cfg.AmbientK) / (maxT - s.Cfg.AmbientK)
-	for i := range temps {
-		temps[i] = s.Cfg.AmbientK + (temps[i]-s.Cfg.AmbientK)*scale
-	}
-	s.Th.SetTemps(temps)
 }
 
 // sampleTemps accumulates the per-block average (over non-stalled samples)

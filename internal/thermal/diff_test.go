@@ -1,18 +1,19 @@
-// Differential suite: the dense Gaussian/fixed-buffer solver is the
-// executable specification, and every behaviour of the sparse CSR/CG
-// solver is held against it in lockstep — transient Advance sequences,
-// steady states, warm starts, and the integration-contract telemetry
-// (AdvanceCalls, MaxStableStep). Plans come from the paper floorplans,
-// synthetic meshes, and seeded random guillotine plans, all within the
-// dense solver's node cap so the reference can actually run.
+// Differential suite. The model has one transient integrator, the CSR
+// Euler step, and it is held bit for bit against a test-only dense
+// reference: the historical explicit-Euler loop over a full conductance
+// matrix. The e2ebench and golden digests depend on that bit identity.
+// Steady states are held twice: the size-selected solver must be exactly
+// Gaussian elimination up to 64 nodes and exactly CG above, and the two
+// solvers must agree within 1e-9 K at every size checked. Plans come from
+// the paper floorplans, synthetic meshes, and seeded random guillotine
+// plans on both sides of the crossover.
 //
-// The file also carries the solver-generic property tests (conductance
-// symmetry, zero-power relaxation, steady-state energy balance,
-// monotonicity in power), run against both backends.
+// The file also carries the property tests (conductance symmetry,
+// zero-power relaxation, steady-state energy balance, monotonicity in
+// power), run once per steady-state solver.
 package thermal
 
 import (
-	"fmt"
 	"math"
 	"testing"
 
@@ -21,35 +22,94 @@ import (
 )
 
 // diffPlans are the floorplans the lockstep suite runs over: every paper
-// variant plus synthetic plans up to the dense cap.
+// variant plus synthetic plans on both sides of the Gaussian/CG crossover.
 func diffPlans() map[string]*floorplan.Plan {
 	return map[string]*floorplan.Plan{
 		"paper-iq":  floorplan.Build(config.PlanIQConstrained),
 		"paper-alu": floorplan.Build(config.PlanALUConstrained),
 		"paper-rf":  floorplan.Build(config.PlanRFConstrained),
 		"mesh-4x4":  floorplan.Mesh(4, 4),
-		"mesh-7x8":  floorplan.Mesh(7, 8), // 56 blocks: just under the dense cap
+		"mesh-7x8":  floorplan.Mesh(7, 8),
 		"rand-20":   floorplan.Random(20, 0xfeed),
 		"rand-45":   floorplan.Random(45, 0xbeef),
-		"rand-62":   floorplan.Random(62, 0xcafe), // 64 nodes: exactly at the cap
+		"rand-62":   floorplan.Random(62, 0xcafe), // 64 nodes: the largest Gaussian network
+		"mesh-8x8":  floorplan.Mesh(8, 8),         // 66 nodes: the smallest CG network
 	}
 }
 
-// densePair builds the same plan under both solvers.
-func densePair(t testing.TB, plan *floorplan.Plan) (dense, sparse *Model) {
+// denseEuler is the test-only transient reference: a full conductance
+// matrix materialized from m.conductance and the explicit-Euler loop that
+// visits it densely, skipping zeros. It shares the model's capacitances
+// and ambient coupling but derives its own stability bound and keeps its
+// own temperatures.
+type denseEuler struct {
+	m         *Model
+	g         [][]float64
+	t, d      []float64
+	maxStable float64
+}
+
+func newDenseEuler(m *Model) *denseEuler {
+	r := &denseEuler{
+		m: m,
+		g: make([][]float64, m.nTotal),
+		t: append([]float64(nil), m.t...),
+		d: make([]float64, m.nTotal),
+	}
+	minTau := math.Inf(1)
+	for i := range r.g {
+		r.g[i] = make([]float64, m.nTotal)
+		sum := m.gAmb[i]
+		for j := range r.g[i] {
+			if gij := m.conductance(i, j); gij != 0 {
+				r.g[i][j] = gij
+				sum += gij
+			}
+		}
+		if sum > 0 {
+			minTau = min(minTau, m.c[i]/sum)
+		}
+	}
+	r.maxStable = minTau / 2
+	return r
+}
+
+func (r *denseEuler) advance(power []float64, seconds float64) {
+	m := r.m
+	steps := int(seconds/r.maxStable) + 1
+	dt := seconds / float64(steps)
+	for s := 0; s < steps; s++ {
+		for i := 0; i < m.nTotal; i++ {
+			flow := 0.0
+			ti := r.t[i]
+			for j, gij := range r.g[i] {
+				if gij != 0 {
+					flow += gij * (r.t[j] - ti)
+				}
+			}
+			if m.gAmb[i] != 0 {
+				flow += m.gAmb[i] * (m.ambient - ti)
+			}
+			if i < m.n {
+				flow += power[i]
+			}
+			r.d[i] = dt / m.c[i] * flow
+		}
+		for i := range r.d {
+			r.t[i] += r.d[i]
+		}
+	}
+}
+
+// requireSameBits fails unless the model's full node state (blocks,
+// spreader, sink) equals want bit for bit.
+func requireSameBits(t *testing.T, what string, m *Model, want []float64) {
 	t.Helper()
-	cfgD := config.Default()
-	cfgD.ThermalSolver = config.ThermalDense
-	cfgS := config.Default()
-	cfgS.ThermalSolver = config.ThermalSparse
-	var err error
-	if dense, err = New(plan, cfgD); err != nil {
-		t.Fatal(err)
+	for i := range want {
+		if math.Float64bits(m.t[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s node %d: model %.17g reference %.17g", what, i, m.t[i], want[i])
+		}
 	}
-	if sparse, err = New(plan, cfgS); err != nil {
-		t.Fatal(err)
-	}
-	return dense, sparse
 }
 
 // lcg is a tiny deterministic generator for test power vectors.
@@ -70,50 +130,18 @@ func randomPower(rng *lcg, n int, maxW float64) []float64 {
 
 const diffTol = 1e-9
 
-// TestDenseCapReturnsError replaces the historical 64-node panic: the
-// dense path reports the cap as an error, auto falls over to sparse, and
-// sparse has no cap at all.
-func TestDenseCapReturnsError(t *testing.T) {
-	big := floorplan.Mesh(8, 8) // 64 blocks + spreader + sink = 66 nodes
-	cfg := config.Default()
-	cfg.ThermalSolver = config.ThermalDense
-	if _, err := New(big, cfg); err == nil {
-		t.Fatal("dense solver accepted a plan beyond its integration buffer")
-	}
-	cfg.ThermalSolver = config.ThermalAuto
-	m, err := New(big, cfg)
-	if err != nil {
-		t.Fatalf("auto solver rejected a large plan: %v", err)
-	}
-	if m.Solver() != config.ThermalSparse {
-		t.Fatalf("auto resolved to %v above the cap", m.Solver())
-	}
-	// Paper-size plans stay on the dense reference under auto.
-	small, err := New(floorplan.Build(config.PlanIQConstrained), config.Default())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if small.Solver() != config.ThermalDense {
-		t.Fatalf("auto resolved to %v at paper size", small.Solver())
-	}
-	// Unknown solver values fail closed.
-	cfg.ThermalSolver = config.ThermalSolver(99)
-	if _, err := New(big, cfg); err == nil {
-		t.Fatal("unknown solver accepted")
-	}
-}
-
-// TestDiffTransientLockstep drives both solvers through the same
-// Advance sequence — varied powers, varied durations, including
-// sub-stability and many-substep calls — and requires temperatures
-// within diffTol at every checkpoint, plus exact AdvanceCalls and
-// MaxStableStep parity.
+// TestDiffTransientLockstep drives the model and the dense reference
+// through the same Advance sequence — varied powers, varied durations,
+// including sub-stability and many-substep calls — and requires every
+// node temperature to be bit-identical at every checkpoint, plus an
+// identical stability bound and exact AdvanceCalls.
 func TestDiffTransientLockstep(t *testing.T) {
 	for name, plan := range diffPlans() {
 		t.Run(name, func(t *testing.T) {
-			dense, sparse := densePair(t, plan)
-			if d, s := dense.MaxStableStep(), sparse.MaxStableStep(); d != s {
-				t.Fatalf("MaxStableStep diverges: dense %v sparse %v", d, s)
+			m := New(plan, config.Default())
+			ref := newDenseEuler(m)
+			if m.MaxStableStep() != ref.maxStable {
+				t.Fatalf("MaxStableStep diverges: model %v reference %v", m.MaxStableStep(), ref.maxStable)
 			}
 			rng := lcg(0x5eed)
 			n := plan.NumBlocks()
@@ -121,102 +149,124 @@ func TestDiffTransientLockstep(t *testing.T) {
 				pow := randomPower(&rng, n, 3.0)
 				// Mix durations: fractions of the stable step through
 				// hundreds of substeps.
-				dur := dense.MaxStableStep() * math.Pow(10, 4*rng.next()-1)
-				dense.Advance(pow, dur)
-				sparse.Advance(pow, dur)
-				for i := 0; i < n; i++ {
-					if d := math.Abs(dense.Temp(i) - sparse.Temp(i)); d > diffTol {
-						t.Fatalf("step %d block %d: dense %.12f sparse %.12f (Δ %.3g)",
-							step, i, dense.Temp(i), sparse.Temp(i), d)
-					}
-				}
+				dur := m.MaxStableStep() * math.Pow(10, 4*rng.next()-1)
+				m.Advance(pow, dur)
+				ref.advance(pow, dur)
+				requireSameBits(t, "step", m, ref.t)
 			}
-			if dense.AdvanceCalls != sparse.AdvanceCalls {
-				t.Fatalf("AdvanceCalls diverge: %d vs %d", dense.AdvanceCalls, sparse.AdvanceCalls)
-			}
-			if dense.AdvanceCalls != 40 {
-				t.Fatalf("AdvanceCalls = %d, want 40", dense.AdvanceCalls)
+			if m.AdvanceCalls != 40 {
+				t.Fatalf("AdvanceCalls = %d, want 40", m.AdvanceCalls)
 			}
 		})
 	}
 }
 
 // TestDiffSteadyState holds CG against Gaussian elimination on random
-// power vectors, and checks SteadyStateDense matches the dense solver's
-// own SteadyState exactly (same algorithm, any-size entry point).
+// power vectors at every plan size, whichever one the model selects.
 func TestDiffSteadyState(t *testing.T) {
 	for name, plan := range diffPlans() {
 		t.Run(name, func(t *testing.T) {
-			dense, sparse := densePair(t, plan)
+			m := New(plan, config.Default())
 			rng := lcg(0xabcde)
 			n := plan.NumBlocks()
 			for trial := 0; trial < 10; trial++ {
 				pow := randomPower(&rng, n, 4.0)
-				want := dense.SteadyState(pow)
-				got := sparse.SteadyState(pow)
+				want := m.SteadyStateDense(pow)
+				got := m.SteadyStateCG(pow)
 				for i := range want {
 					if d := math.Abs(want[i] - got[i]); d > diffTol {
 						t.Fatalf("trial %d block %d: gaussian %.12f cg %.12f (Δ %.3g)",
 							trial, i, want[i], got[i], d)
 					}
 				}
-				ref := sparse.SteadyStateDense(pow)
-				for i := range want {
-					if ref[i] != want[i] {
-						t.Fatalf("SteadyStateDense diverges from the dense solver at block %d", i)
-					}
+			}
+		})
+	}
+}
+
+// TestSteadyStateCrossover pins which solver SteadyState and WarmStart
+// run: Gaussian elimination, bit for bit, through the largest network of
+// 64 nodes (every paper plan, rand-62), and CG, bit for bit, from 66
+// nodes (mesh-8x8). The fig6 and multicore digests depend on both sides.
+func TestSteadyStateCrossover(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		plan  *floorplan.Plan
+		gauss bool
+	}{
+		{"paper-iq", floorplan.Build(config.PlanIQConstrained), true},
+		{"paper-alu", floorplan.Build(config.PlanALUConstrained), true},
+		{"paper-rf", floorplan.Build(config.PlanRFConstrained), true},
+		{"rand-62", floorplan.Random(62, 0xcafe), true},
+		{"mesh-8x8", floorplan.Mesh(8, 8), false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := New(tc.plan, config.Default())
+			rng := lcg(0xc505)
+			pow := randomPower(&rng, tc.plan.NumBlocks(), 3.0)
+			want := m.SteadyStateCG(pow)
+			if tc.gauss {
+				want = m.SteadyStateDense(pow)
+			}
+			got := m.SteadyState(pow)
+			m.WarmStart(pow)
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("SteadyState block %d: %.17g, want %.17g (gaussian=%v)", i, got[i], want[i], tc.gauss)
+				}
+				if math.Float64bits(m.Temp(i)) != math.Float64bits(want[i]) {
+					t.Fatalf("WarmStart block %d: %.17g, want %.17g (gaussian=%v)", i, m.Temp(i), want[i], tc.gauss)
 				}
 			}
 		})
 	}
 }
 
-// TestDiffWarmStart checks the full warm-start state (blocks and sink)
-// agrees across solvers, then that both hold steady under the same
-// power.
+// TestDiffWarmStart checks a warm start lands within diffTol of both
+// steady-state solvers, then that it holds steady under the same power
+// while the dense reference integrates in bit-identical lockstep.
 func TestDiffWarmStart(t *testing.T) {
 	for name, plan := range diffPlans() {
 		t.Run(name, func(t *testing.T) {
-			dense, sparse := densePair(t, plan)
+			m := New(plan, config.Default())
 			rng := lcg(0x77)
 			pow := randomPower(&rng, plan.NumBlocks(), 2.5)
-			dense.WarmStart(pow)
-			sparse.WarmStart(pow)
+			gauss, cg := m.SteadyStateDense(pow), m.SteadyStateCG(pow)
+			m.WarmStart(pow)
 			for i := 0; i < plan.NumBlocks(); i++ {
-				if d := math.Abs(dense.Temp(i) - sparse.Temp(i)); d > diffTol {
-					t.Fatalf("block %d: dense %.12f sparse %.12f", i, dense.Temp(i), sparse.Temp(i))
+				if d := max(math.Abs(m.Temp(i)-gauss[i]), math.Abs(m.Temp(i)-cg[i])); d > diffTol {
+					t.Fatalf("block %d: warm %.12f gaussian %.12f cg %.12f", i, m.Temp(i), gauss[i], cg[i])
 				}
 			}
-			if d := math.Abs(dense.SinkTemp() - sparse.SinkTemp()); d > diffTol {
-				t.Fatalf("sink: dense %.12f sparse %.12f", dense.SinkTemp(), sparse.SinkTemp())
-			}
 			// A warm-started model must not drift under the same power.
-			sparse.Advance(pow, 1e-3)
+			ref := newDenseEuler(m)
+			m.Advance(pow, 1e-3)
+			ref.advance(pow, 1e-3)
+			requireSameBits(t, "after warm start", m, ref.t)
 			for i := 0; i < plan.NumBlocks(); i++ {
-				if d := math.Abs(dense.Temp(i) - sparse.Temp(i)); d > 1e-6 {
-					t.Fatalf("sparse drifted from its own steady state at block %d (Δ %.3g)", i, d)
+				if d := math.Abs(m.Temp(i) - gauss[i]); d > 1e-6 {
+					t.Fatalf("drifted from the steady state at block %d (Δ %.3g)", i, d)
 				}
 			}
 		})
 	}
 }
 
-// --- Solver-generic property tests -----------------------------------------
+// --- Property tests -----------------------------------------------------
 
-// eachSolver runs f against a model built with each backend on the given
-// plan (skipping dense when the plan exceeds its cap).
+// eachSolver runs f once per steady-state solver on the plan's model:
+// "dense" makes WarmStart and SteadyState use Gaussian elimination and
+// "sparse" CG, whatever the plan's size. Transients run the one CSR
+// integrator in both.
 func eachSolver(t *testing.T, plan *floorplan.Plan, f func(t *testing.T, m *Model, cfg *config.Config)) {
-	for _, solver := range []config.ThermalSolver{config.ThermalDense, config.ThermalSparse} {
-		t.Run(solver.String(), func(t *testing.T) {
+	for _, solver := range []struct {
+		name string
+		cg   bool
+	}{{"dense", false}, {"sparse", true}} {
+		t.Run(solver.name, func(t *testing.T) {
 			cfg := config.Default()
-			cfg.ThermalSolver = solver
-			m, err := New(plan, cfg)
-			if err != nil {
-				if solver == config.ThermalDense && plan.NumBlocks()+2 > DenseMaxNodes {
-					t.Skip("plan beyond the dense cap")
-				}
-				t.Fatal(err)
-			}
+			m := New(plan, cfg)
+			m.cgSteady = solver.cg
 			f(t, m, cfg)
 		})
 	}
@@ -231,8 +281,7 @@ func propertyPlans() map[string]*floorplan.Plan {
 }
 
 // TestPropertyConductanceSymmetry: g[i][j] == g[j][i] for every node
-// pair, on both backends (they share the CSR build, so this pins the
-// construction, not just the accessor).
+// pair (this pins the CSR construction, not just the accessor).
 func TestPropertyConductanceSymmetry(t *testing.T) {
 	for name, plan := range propertyPlans() {
 		t.Run(name, func(t *testing.T) {
@@ -335,8 +384,7 @@ func TestPropertyMonotoneInPower(t *testing.T) {
 
 // TestLargeMeshEndToEnd is the scale acceptance check: a 3000-node mesh
 // plan (50×60 blocks) builds, integrates transients, and solves steady
-// states on the sparse path — the configuration the historical 64-node
-// panic made impossible — with physically sane results.
+// states by CG with physically sane results.
 func TestLargeMeshEndToEnd(t *testing.T) {
 	rows, cols := 50, 60
 	if testing.Short() {
@@ -344,12 +392,9 @@ func TestLargeMeshEndToEnd(t *testing.T) {
 	}
 	plan := floorplan.Mesh(rows, cols)
 	cfg := config.Default()
-	m, err := New(plan, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Solver() != config.ThermalSparse {
-		t.Fatalf("solver %v for %d nodes", m.Solver(), plan.NumBlocks()+2)
+	m := New(plan, cfg)
+	if !m.cgSteady {
+		t.Fatalf("%d nodes resolved to Gaussian elimination", plan.NumBlocks()+2)
 	}
 	n := plan.NumBlocks()
 	pow := make([]float64, n)
@@ -394,16 +439,11 @@ func TestLargeMeshEndToEnd(t *testing.T) {
 	}
 }
 
-// TestSparseAdvanceDoesNotAllocate locks the sparse transient path to
-// zero steady-state heap traffic, matching the dense path's fixed
-// buffer: the per-interval Advance sits on the simulator's hot loop.
+// TestSparseAdvanceDoesNotAllocate locks Advance to zero steady-state
+// heap traffic: the per-interval Advance sits on the simulator's hot loop.
 func TestSparseAdvanceDoesNotAllocate(t *testing.T) {
 	plan := floorplan.Mesh(20, 20)
-	cfg := config.Default()
-	m, err := New(plan, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := New(plan, config.Default())
 	pow := make([]float64, plan.NumBlocks())
 	for i := range pow {
 		pow[i] = 0.05
@@ -411,36 +451,19 @@ func TestSparseAdvanceDoesNotAllocate(t *testing.T) {
 	dt := m.MaxStableStep() * 10
 	m.Advance(pow, dt) // warm any lazy state
 	if avg := testing.AllocsPerRun(50, func() { m.Advance(pow, dt) }); avg != 0 {
-		t.Fatalf("sparse Advance allocates %.1f objects per call", avg)
+		t.Fatalf("Advance allocates %.1f objects per call", avg)
 	}
 }
 
-// TestSteadyStateScratchReuse: repeated sparse steady-state solves reuse
-// the CG scratch — only the returned result slice is allocated.
+// TestSteadyStateScratchReuse: repeated CG steady-state solves reuse the
+// scratch — only the returned result slice is allocated.
 func TestSteadyStateScratchReuse(t *testing.T) {
 	plan := floorplan.Mesh(15, 15)
-	cfg := config.Default()
-	m, err := New(plan, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := New(plan, config.Default())
 	pow := make([]float64, plan.NumBlocks())
 	pow[0] = 2.0
 	m.SteadyState(pow) // size the scratch
 	if avg := testing.AllocsPerRun(20, func() { m.SteadyState(pow) }); avg > 1 {
-		t.Fatalf("sparse SteadyState allocates %.1f objects per call, want just the result", avg)
-	}
-}
-
-func TestSolverString(t *testing.T) {
-	for want, s := range map[string]config.ThermalSolver{
-		"auto": config.ThermalAuto, "dense": config.ThermalDense, "sparse": config.ThermalSparse,
-	} {
-		if s.String() != want {
-			t.Fatalf("String() = %q, want %q", s.String(), want)
-		}
-	}
-	if got := fmt.Sprint(config.ThermalSolver(7)); got != "ThermalSolver(7)" {
-		t.Fatalf("out-of-range String() = %q", got)
+		t.Fatalf("CG SteadyState allocates %.1f objects per call, want just the result", avg)
 	}
 }

@@ -8,19 +8,14 @@ import (
 	"repro/internal/floorplan"
 )
 
-func newModel(t testing.TB) (*Model, *floorplan.Plan, *config.Config) {
-	t.Helper()
+func newModel() (*Model, *floorplan.Plan, *config.Config) {
 	cfg := config.Default()
 	plan := floorplan.Build(config.PlanIQConstrained)
-	m, err := New(plan, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m, plan, cfg
+	return New(plan, cfg), plan, cfg
 }
 
 func TestInitialTemperaturesAmbient(t *testing.T) {
-	m, _, cfg := newModel(t)
+	m, _, cfg := newModel()
 	for i := 0; i < m.NumBlocks(); i++ {
 		if m.Temp(i) != cfg.AmbientK {
 			t.Fatalf("block %d starts at %v", i, m.Temp(i))
@@ -29,7 +24,7 @@ func TestInitialTemperaturesAmbient(t *testing.T) {
 }
 
 func TestSteadyStateZeroPowerIsAmbient(t *testing.T) {
-	m, _, cfg := newModel(t)
+	m, _, cfg := newModel()
 	ts := m.SteadyState(make([]float64, m.NumBlocks()))
 	for i, temp := range ts {
 		if math.Abs(temp-cfg.AmbientK) > 1e-6 {
@@ -41,7 +36,7 @@ func TestSteadyStateZeroPowerIsAmbient(t *testing.T) {
 func TestSteadyStateEnergyConservation(t *testing.T) {
 	// At steady state all injected power must leave through the
 	// convection resistance: T_sink - T_amb = P_total * R_conv.
-	m, _, cfg := newModel(t)
+	m, _, cfg := newModel()
 	p := make([]float64, m.NumBlocks())
 	total := 0.0
 	for i := range p {
@@ -56,7 +51,7 @@ func TestSteadyStateEnergyConservation(t *testing.T) {
 }
 
 func TestSteadyStateMonotoneInPower(t *testing.T) {
-	m, plan, _ := newModel(t)
+	m, plan, _ := newModel()
 	idx := plan.Index(floorplan.IntQ0)
 	p := make([]float64, m.NumBlocks())
 	p[idx] = 1.0
@@ -77,7 +72,7 @@ func TestVerticalDominatesLateral(t *testing.T) {
 	// Power one ALU only: it must get much hotter than its neighbour,
 	// reproducing the paper's observation that heat conducts mostly
 	// vertically. (§4.2 observes >4 K spread across adjacent ALUs.)
-	m, plan, cfg := newModel(t)
+	m, plan, cfg := newModel()
 	hot := plan.Index(floorplan.IntExec(0))
 	neighbor := plan.Index(floorplan.IntExec(1))
 	p := make([]float64, m.NumBlocks())
@@ -94,7 +89,7 @@ func TestVerticalDominatesLateral(t *testing.T) {
 }
 
 func TestAdvanceConvergesToSteadyState(t *testing.T) {
-	m, _, _ := newModel(t)
+	m, _, _ := newModel()
 	p := make([]float64, m.NumBlocks())
 	for i := range p {
 		p[i] = 1.0
@@ -116,8 +111,8 @@ func TestAdvanceConvergesToSteadyState(t *testing.T) {
 }
 
 func TestCapacitanceScalingPreservesSteadyState(t *testing.T) {
-	m1, _, _ := newModel(t)
-	m2, _, _ := newModel(t)
+	m1, _, _ := newModel()
+	m2, _, _ := newModel()
 	m2.ScaleCapacitances(1.0 / 64)
 	p := make([]float64, m1.NumBlocks())
 	p[0] = 3.0
@@ -131,8 +126,8 @@ func TestCapacitanceScalingPreservesSteadyState(t *testing.T) {
 }
 
 func TestCapacitanceScalingAcceleratesTransients(t *testing.T) {
-	mSlow, _, _ := newModel(t)
-	mFast, _, _ := newModel(t)
+	mSlow, _, _ := newModel()
+	mFast, _, _ := newModel()
 	const accel = 16
 	mFast.ScaleCapacitances(1.0 / accel)
 	p := make([]float64, mSlow.NumBlocks())
@@ -149,7 +144,7 @@ func TestCapacitanceScalingAcceleratesTransients(t *testing.T) {
 }
 
 func TestWarmStartMatchesSteadyState(t *testing.T) {
-	m, _, _ := newModel(t)
+	m, _, _ := newModel()
 	p := make([]float64, m.NumBlocks())
 	for i := range p {
 		p[i] = 0.5 + 0.1*float64(i%4)
@@ -171,8 +166,50 @@ func TestWarmStartMatchesSteadyState(t *testing.T) {
 	}
 }
 
+// TestWarmStartBelow: a steady state below the threshold margin is kept
+// as is; a hotter one is scaled toward ambient so the hottest block sits
+// at the margin and every block keeps its share of the rise.
+func TestWarmStartBelow(t *testing.T) {
+	m, _, cfg := newModel()
+	cool := make([]float64, m.NumBlocks())
+	hot := make([]float64, m.NumBlocks())
+	for i := range cool {
+		cool[i] = 0.2
+		hot[i] = 8 + float64(i%3)
+	}
+	want := m.SteadyState(cool)
+	m.WarmStartBelow(cool, cfg.MaxTempK)
+	for i := range want {
+		if m.Temp(i) != want[i] {
+			t.Fatalf("cool block %d: %v, want the unscaled steady state %v", i, m.Temp(i), want[i])
+		}
+	}
+
+	full := m.SteadyState(hot)
+	maxT := 0.0
+	for _, temp := range full {
+		maxT = max(maxT, temp)
+	}
+	limit := cfg.MaxTempK - 0.5
+	if maxT < limit {
+		t.Fatalf("hot steady state peaks at %.2f K, below the %.2f K margin", maxT, limit)
+	}
+	m.WarmStartBelow(hot, cfg.MaxTempK)
+	peak := 0.0
+	for i := range full {
+		peak = max(peak, m.Temp(i))
+		share := (full[i] - cfg.AmbientK) / (maxT - cfg.AmbientK)
+		if got := (m.Temp(i) - cfg.AmbientK) / (limit - cfg.AmbientK); math.Abs(got-share) > 1e-12 {
+			t.Fatalf("block %d keeps %.15f of the rise, want %.15f", i, got, share)
+		}
+	}
+	if math.Abs(peak-limit) > 1e-9 {
+		t.Fatalf("clamped peak %.12f K, want %.12f K", peak, limit)
+	}
+}
+
 func TestCoolingDecaysTowardAmbient(t *testing.T) {
-	m, _, _ := newModel(t)
+	m, _, _ := newModel()
 	p := make([]float64, m.NumBlocks())
 	for i := range p {
 		p[i] = 2.0
@@ -194,7 +231,7 @@ func TestCoolingDecaysTowardAmbient(t *testing.T) {
 }
 
 func TestTempsAndSetTemps(t *testing.T) {
-	m, _, _ := newModel(t)
+	m, _, _ := newModel()
 	ts := m.Temps(nil)
 	if len(ts) != m.NumBlocks() {
 		t.Fatal("Temps length")
@@ -216,7 +253,7 @@ func TestTempsAndSetTemps(t *testing.T) {
 }
 
 func TestTempByName(t *testing.T) {
-	m, plan, _ := newModel(t)
+	m, plan, _ := newModel()
 	ts := m.Temps(nil)
 	ts[plan.Index(floorplan.IntQ1)] = 351.5
 	m.SetTemps(ts)
@@ -226,7 +263,7 @@ func TestTempByName(t *testing.T) {
 }
 
 func TestPanics(t *testing.T) {
-	m, _, _ := newModel(t)
+	m, _, _ := newModel()
 	for name, f := range map[string]func(){
 		"SetTemps wrong len":    func() { m.SetTemps(make([]float64, 3)) },
 		"Advance wrong len":     func() { m.Advance(make([]float64, 3), 1e-3) },
@@ -245,7 +282,7 @@ func TestPanics(t *testing.T) {
 }
 
 func TestAdvanceZeroDurationNoop(t *testing.T) {
-	m, _, _ := newModel(t)
+	m, _, _ := newModel()
 	before := m.Temps(nil)
 	m.Advance(make([]float64, m.NumBlocks()), 0)
 	for i := range before {
@@ -258,7 +295,7 @@ func TestAdvanceZeroDurationNoop(t *testing.T) {
 func TestStabilityUnderLongSteps(t *testing.T) {
 	// A single Advance over many stability limits must subdivide and stay
 	// finite/physical.
-	m, _, cfg := newModel(t)
+	m, _, cfg := newModel()
 	p := make([]float64, m.NumBlocks())
 	for i := range p {
 		p[i] = 3.0
@@ -273,7 +310,7 @@ func TestStabilityUnderLongSteps(t *testing.T) {
 }
 
 func TestVerticalResistanceScalesWithArea(t *testing.T) {
-	m, plan, _ := newModel(t)
+	m, plan, _ := newModel()
 	small := plan.Index(floorplan.IntQ0)  // shrunk in IQ-constrained plan
 	large := plan.Index(floorplan.ICache) // big cache block
 	if m.VerticalResistance(small) <= m.VerticalResistance(large) {
@@ -282,7 +319,7 @@ func TestVerticalResistanceScalesWithArea(t *testing.T) {
 }
 
 func TestLateralConductanceSymmetric(t *testing.T) {
-	m, plan, _ := newModel(t)
+	m, plan, _ := newModel()
 	a, b := plan.Index(floorplan.IntQ0), plan.Index(floorplan.IntQ1)
 	if m.LateralConductance(a, b) != m.LateralConductance(b, a) {
 		t.Fatal("lateral conductance asymmetric")
@@ -301,7 +338,7 @@ func TestLateralConductanceSymmetric(t *testing.T) {
 // at block i caused by power injected at block j equals the rise at j
 // caused by the same power at i.
 func TestReciprocity(t *testing.T) {
-	m, plan, cfg := newModel(t)
+	m, plan, cfg := newModel()
 	i := plan.Index(floorplan.IntQ0)
 	j := plan.Index(floorplan.ICache)
 
@@ -322,7 +359,7 @@ func TestReciprocity(t *testing.T) {
 // vectors is the sum of the responses (the property the thermal
 // acceleration relies on).
 func TestSuperposition(t *testing.T) {
-	m, plan, cfg := newModel(t)
+	m, plan, cfg := newModel()
 	a := make([]float64, m.NumBlocks())
 	b := make([]float64, m.NumBlocks())
 	a[plan.Index(floorplan.IntExec(0))] = 2.0
